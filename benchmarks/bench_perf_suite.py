@@ -512,13 +512,11 @@ def _bench_serve(preset: str) -> List[Dict[str, Any]]:
     return rows
 
 
-#: Zipf warm-traffic bench knobs per preset.  ``sweep`` is the n_max walk
-#: the prefetch phase replays per kernel (constant stride, so the
-#: prefetcher's direction extrapolation can land ahead of the client).
+#: Zipf warm-traffic bench knobs per preset.
 ZIPF_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "micro": {"requests": 60, "n_max": 8, "sweep": [4, 6, 8, 10], "sweep_kernels": 2},
-    "small": {"requests": 150, "n_max": 8, "sweep": [4, 6, 8, 10, 12], "sweep_kernels": 3},
-    "full": {"requests": 400, "n_max": 8, "sweep": [4, 6, 8, 10, 12, 14], "sweep_kernels": 4},
+    "micro": {"requests": 60, "n_max": 8},
+    "small": {"requests": 150, "n_max": 8},
+    "full": {"requests": 400, "n_max": 8},
 }
 
 #: Deliberately *asymmetric* base kernels: every 2-D benchmark stencil in
@@ -584,16 +582,13 @@ def _zipf_phase(
     workload: str,
     mode: str,
     traffic: List[Any],
-    n_max_of: Any,
+    n_max: int,
     store_dir: str,
-    prefetch: bool = False,
-    inter_request_sleep_s: float = 0.0,
     reference: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """One server lifetime replaying ``traffic`` under canonical mode ``mode``.
 
-    ``n_max_of(i, tag)`` supplies the per-request bank ceiling (constant for
-    the Zipf phases, the sweep walk for the prefetch phase).  Every response
+    Every request carries the same bank ceiling ``n_max``.  Every response
     is checked bit-identical against an in-process cold solve with the same
     mode; when ``reference`` responses are given (the warm-restart phase)
     the response stream must also match them element-for-element.
@@ -605,29 +600,20 @@ def _zipf_phase(
     os.environ["REPRO_SOLVE_CANON"] = mode
     solve_cache.reset()  # fresh memo under the new canonicalization mode
     try:
-        kwargs: Dict[str, Any] = {"store_dir": store_dir}
-        if prefetch:
-            kwargs.update(prefetch=True, prefetch_cap=64)
         latencies: List[float] = []
         responses: List[Dict[str, Any]] = []
         requested: List[Any] = []
-        with serve_in_thread(**kwargs) as srv:
+        with serve_in_thread(store_dir=store_dir) as srv:
             with ServeClient(port=srv.port) as client:
                 entries_before = client.healthz()["store"]["entries"]
-                for i, (tag, pattern, shape) in enumerate(traffic):
-                    n_max = n_max_of(i, tag)
+                for _tag, pattern, shape in traffic:
                     t0 = time.perf_counter()
                     doc = client.solve(pattern=pattern, shape=shape, n_max=n_max)
                     latencies.append(time.perf_counter() - t0)
                     responses.append(doc["solution"])
                     requested.append((pattern, shape, n_max))
-                    if inter_request_sleep_s:
-                        time.sleep(inter_request_sleep_s)
-                if prefetch and srv.server.prefetcher is not None:
-                    srv.server.prefetcher.drain()
                 health = client.healthz()
         entries_after = health["store"]["entries"]
-        prefetch_stats = health.get("prefetch") or {}
 
         # Bit-identity: every response equals a fresh in-process solve of
         # the requester's own pattern under the same canonical mode.
@@ -646,8 +632,7 @@ def _zipf_phase(
         if reference is not None and responses != reference:
             identical = False
 
-        prefetch_stored = int(prefetch_stats.get("stored", 0)) if prefetch else 0
-        cold_solves = max(0, entries_after - entries_before - prefetch_stored)
+        cold_solves = max(0, entries_after - entries_before)
         row: Dict[str, Any] = {
             "workload": workload,
             "mode": mode,
@@ -660,11 +645,6 @@ def _zipf_phase(
             "store_entries": entries_after,
             "responses_identical": identical,
         }
-        if prefetch:
-            row["prefetch"] = {
-                key: prefetch_stats.get(key, 0)
-                for key in ("enqueued", "solved", "stored", "skipped", "dropped", "errors")
-            }
         row["_responses"] = responses  # stripped before the document is written
         return row
     finally:
@@ -678,34 +658,30 @@ def _zipf_phase(
 def _bench_zipf(preset: str) -> List[Dict[str, Any]]:
     """Zipf warm traffic: translation-only vs the full symmetry quotient.
 
-    Four phases over one seeded request sequence: (1) translation-only
+    Three phases over one seeded request sequence: (1) translation-only
     canonicalization on a cold store, (2) the symmetry quotient on a cold
     store — the canonical-hit-rate / cold-solve collapse the cache exists
-    for, (3) the same store after a server restart (every answer from
-    disk), and (4) a sweep workload against a prefetching server, where
-    the store is warmed *ahead* of the client by the idle-time neighbor
-    solver.
+    for, and (3) the same store after a server restart (every answer from
+    disk).
     """
     import tempfile
 
     config = ZIPF_CONFIGS[preset]
     universe = _zipf_universe()
     traffic = _zipf_traffic(universe, config["requests"], preset)
-    fixed_n_max = config["n_max"]
-    constant = lambda i, tag: fixed_n_max  # noqa: E731
+    n_max = config["n_max"]
 
     rows: List[Dict[str, Any]] = []
     with tempfile.TemporaryDirectory(prefix="repro-zipf-") as root:
         trans_dir = os.path.join(root, "translation")
         sym_dir = os.path.join(root, "symmetry")
-        prefetch_dir = os.path.join(root, "prefetch")
         rows.append(
             _zipf_phase(
-                f"zipf_{preset}_translation", "translation", traffic, constant, trans_dir
+                f"zipf_{preset}_translation", "translation", traffic, n_max, trans_dir
             )
         )
         cold = _zipf_phase(
-            f"zipf_{preset}_symmetry_cold", "symmetry", traffic, constant, sym_dir
+            f"zipf_{preset}_symmetry_cold", "symmetry", traffic, n_max, sym_dir
         )
         rows.append(cold)
         rows.append(
@@ -713,269 +689,14 @@ def _bench_zipf(preset: str) -> List[Dict[str, Any]]:
                 f"zipf_{preset}_symmetry_warm",
                 "symmetry",
                 traffic,
-                constant,
+                n_max,
                 sym_dir,
                 reference=cold["_responses"],
-            )
-        )
-        # Sweep traffic: each kernel walks the n_max ladder in order, with a
-        # small gap between requests so the idle-gated prefetcher can run.
-        kernels = universe[: config["sweep_kernels"]]
-        sweep_traffic = [
-            (tag, pattern, shape)
-            for tag, pattern, shape in kernels
-            for _ in config["sweep"]
-        ]
-        sweep_values = config["sweep"] * len(kernels)
-        rows.append(
-            _zipf_phase(
-                f"zipf_{preset}_symmetry_warm_prefetch",
-                "symmetry",
-                sweep_traffic,
-                lambda i, tag: sweep_values[i],
-                prefetch_dir,
-                prefetch=True,
-                inter_request_sleep_s=0.02,
             )
         )
     for row in rows:
         row.pop("_responses", None)
     return rows
-
-
-#: Cluster bench knobs per preset.  ``keys`` distinct solve specs (plus a
-#: simulate variant every 4th request), driven by ``concurrency`` threaded
-#: clients.  ``micro`` stays lean because the regression-gate tests run it
-#: repeatedly inside the tier-1 suite.
-CLUSTER_CONFIGS: Dict[str, Dict[str, int]] = {
-    "micro": {
-        "shards": 3,
-        "keys": 6,
-        "warm_requests": 48,
-        "concurrency": 4,
-        "chaos_requests": 24,
-    },
-    "small": {
-        "shards": 4,
-        "keys": 10,
-        "warm_requests": 120,
-        "concurrency": 8,
-        "chaos_requests": 48,
-    },
-    "full": {
-        "shards": 4,
-        "keys": 16,
-        "warm_requests": 320,
-        "concurrency": 12,
-        "chaos_requests": 96,
-    },
-}
-
-#: Simulation shape/limit for the cluster bench's simulate requests — small
-#: on purpose; the bench measures serving, not the simulator.
-_CLUSTER_SIM_SHAPE = [24, 24]
-_CLUSTER_SIM_LIMIT = 32
-
-
-def _cluster_request_mix(keys: int, total: int) -> List[Tuple[str, int]]:
-    """``total`` interleaved ``("solve"|"simulate", n_max)`` descriptors.
-
-    Every 4th request is a simulate; keys repeat round-robin so duplicates
-    land on every shard and the warm path dominates.
-    """
-    n_values = list(range(4, 4 + keys))
-    mix: List[Tuple[str, int]] = []
-    for i in range(total):
-        kind = "simulate" if i % 4 == 3 else "solve"
-        mix.append((kind, n_values[i % keys]))
-    return mix
-
-
-def _cluster_issue(client: Any, kind: str, n_max: int) -> Dict[str, Any]:
-    if kind == "simulate":
-        return client.simulate(
-            shape=_CLUSTER_SIM_SHAPE,
-            benchmark="log",
-            n_max=n_max,
-            limit=_CLUSTER_SIM_LIMIT,
-        )
-    return client.solve(benchmark="log", n_max=n_max)
-
-
-def _cluster_drive(
-    port: int,
-    mix: List[Tuple[str, int]],
-    concurrency: int,
-    retries: int = 0,
-) -> Tuple[List[float], Dict[Tuple[str, int], Dict[str, Any]], List[str]]:
-    """Drive the request mix with ``concurrency`` threaded clients.
-
-    Returns per-request latencies, one response per distinct descriptor,
-    and a list of failure strings (empty on a clean run).  The same
-    harness drives the single-process reference and the cluster, so the
-    rps comparison is apples-to-apples.
-    """
-    import queue as queue_mod
-    import threading
-
-    from repro.serve import ServeClient
-
-    work: "queue_mod.Queue[Tuple[str, int]]" = queue_mod.Queue()
-    for item in mix:
-        work.put(item)
-    latencies: List[float] = []
-    responses: Dict[Tuple[str, int], Dict[str, Any]] = {}
-    failures: List[str] = []
-    lock = threading.Lock()
-
-    def worker() -> None:
-        client = ServeClient(port=port, retries=retries, backoff_s=0.05)
-        try:
-            while True:
-                try:
-                    kind, n_max = work.get_nowait()
-                except queue_mod.Empty:
-                    return
-                t0 = time.perf_counter()
-                try:
-                    resp = _cluster_issue(client, kind, n_max)
-                except Exception as exc:  # noqa: BLE001 - tallied, not fatal
-                    with lock:
-                        failures.append(f"{kind} n_max={n_max}: {exc}")
-                    continue
-                elapsed = time.perf_counter() - t0
-                with lock:
-                    latencies.append(elapsed)
-                    responses[(kind, n_max)] = resp
-        finally:
-            client.close()
-
-    threads = [
-        threading.Thread(target=worker, name=f"cluster-bench-{i}")
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return latencies, responses, failures
-
-
-def _bench_cluster(preset: str) -> List[Dict[str, Any]]:
-    """Sharded-cluster serving vs the single-process server, plus chaos.
-
-    Three phases under one threaded-client harness:
-
-    1. **single** — a single in-process server is seeded cold, then the
-       mixed solve/simulate traffic is replayed warm; its responses are
-       the identity reference.
-    2. **cluster** — a :class:`repro.cluster.LocalCluster` (front router +
-       N worker shards) serves the same traffic; every response must be
-       identical to the single-process reference (routing must not
-       perturb bytes), and per-shard p99s come from the router.
-    3. **chaos** — the shard owning the hottest key is SIGKILLed mid-load;
-       retrying clients must lose zero requests, the supervisor must
-       respawn the worker, and post-recovery responses must still match
-       the reference.
-
-    ``speedup_vs_single_warm`` is recorded honestly for the machine the
-    bench runs on — multi-process speedup needs multiple cores, so the
-    ≥2x acceptance claim is gated in CI only where ``os.cpu_count() >= 4``
-    (the identity and zero-loss claims are asserted everywhere).
-    """
-    import signal as signal_mod
-    import tempfile
-    import threading
-
-    from repro.cluster import LocalCluster
-    from repro.serve import serve_in_thread
-    from repro.serve.protocol import parse_solve_spec
-
-    config = CLUSTER_CONFIGS[preset]
-    shards = config["shards"]
-    keys = config["keys"]
-    mix = _cluster_request_mix(keys, config["warm_requests"])
-    seed_mix = sorted(set(mix))
-    chaos_mix = _cluster_request_mix(keys, config["chaos_requests"])
-
-    # Phase 1: single-process reference under the identical harness.
-    solve_cache.clear()
-    with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as store_dir:
-        with serve_in_thread(store_dir=store_dir) as srv:
-            _cluster_drive(srv.port, seed_mix, 1)
-            started = time.perf_counter()
-            _, ref_responses, ref_failures = _cluster_drive(
-                srv.port, mix, config["concurrency"]
-            )
-            single_warm_s = time.perf_counter() - started
-    single_warm_rps = len(mix) / single_warm_s
-
-    # Phases 2 + 3: the cluster.
-    solve_cache.clear()
-    with LocalCluster(shards=shards) as cluster:
-        _cluster_drive(cluster.port, seed_mix, 1)
-        cluster.router.reset_shard_latency()
-        started = time.perf_counter()
-        latencies, cl_responses, cl_failures = _cluster_drive(
-            cluster.port, mix, config["concurrency"]
-        )
-        warm_s = time.perf_counter() - started
-        per_shard = cluster.router.shard_latency_summary()
-
-        warm_identical = not ref_failures and not cl_failures and all(
-            cl_responses.get(key) == ref_responses.get(key) for key in ref_responses
-        )
-
-        # Chaos: kill the owner of the hottest key mid-load.
-        hot_digest = parse_solve_spec(
-            {"benchmark": "log", "n_max": 4}
-        ).canonical_digest()
-        victim = cluster.supervisor.preference(hot_digest)[0]
-        killer = threading.Timer(
-            0.05, cluster.supervisor.kill, args=(victim, signal_mod.SIGKILL)
-        )
-        killer.start()
-        _, _, chaos_failures = _cluster_drive(
-            cluster.port, chaos_mix, config["concurrency"], retries=10
-        )
-        killer.join()
-        respawned = cluster.supervisor.wait_all_alive(timeout_s=30.0)
-        _, post_responses, post_failures = _cluster_drive(cluster.port, seed_mix, 1)
-        post_identical = not post_failures and all(
-            post_responses.get(key) == ref_responses.get(key)
-            for key in ref_responses
-        )
-
-    warm_rps = len(mix) / warm_s
-    return [
-        {
-            "workload": f"mixed_{preset}_{shards}shards",
-            "shards": shards,
-            "requests": len(mix),
-            "distinct_keys": len(seed_mix),
-            "concurrency": config["concurrency"],
-            "warm_rps": warm_rps,
-            "single_warm_rps": single_warm_rps,
-            "speedup_vs_single_warm": warm_rps / single_warm_rps,
-            "p50_ms": _percentile_ms(latencies, 0.50),
-            "p99_ms": _percentile_ms(latencies, 0.99),
-            "per_shard_p99_ms": {
-                str(shard): stats["p99_ms"] for shard, stats in per_shard.items()
-            },
-            "max_shard_p99_ms": max(
-                (stats["p99_ms"] for stats in per_shard.values()), default=0.0
-            ),
-            "responses_identical": warm_identical,
-            "chaos": {
-                "requests": len(chaos_mix),
-                "killed_shard": victim,
-                "failed": len(chaos_failures),
-                "failures": chaos_failures[:5],
-                "respawned": respawned,
-                "post_recovery_identical": post_identical,
-            },
-        }
-    ]
 
 
 def run_suite(preset: str, repeat: int = 3) -> Dict[str, Any]:
@@ -994,7 +715,6 @@ def run_suite(preset: str, repeat: int = 3) -> Dict[str, Any]:
         "serve": [],
         "dag": [],
         "zipf": [],
-        "cluster": [],
     }
     for name, factory, shape in workloads:
         pattern = factory()
@@ -1012,7 +732,6 @@ def run_suite(preset: str, repeat: int = 3) -> Dict[str, Any]:
     doc["serve"].extend(_bench_serve(preset))
     doc["dag"].extend(_bench_dag(preset, repeat))
     doc["zipf"].extend(_bench_zipf(preset))
-    doc["cluster"].extend(_bench_cluster(preset))
     return doc
 
 
@@ -1106,31 +825,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"rows identical={row['rows_identical']}"
         )
     for row in doc["zipf"]:
-        extra = ""
-        if "prefetch" in row:
-            pf = row["prefetch"]
-            extra = f", prefetch stored={pf['stored']} skipped={pf['skipped']}"
         print(
             f"zipf {row['workload']}: {row['requests']} reqs over "
             f"{row['distinct_variants']} variants, cold solves "
             f"{row['cold_solves']} (hit rate {row['canonical_hit_rate']:.2f}), "
             f"p50 {row['p50_ms']:.2f}ms, p99 {row['p99_ms']:.2f}ms, "
-            f"identical={row['responses_identical']}{extra}"
-        )
-    for row in doc["cluster"]:
-        chaos = row["chaos"]
-        print(
-            f"cluster {row['workload']}: {row['requests']} reqs x"
-            f"{row['concurrency']} clients, warm {row['warm_rps']:.0f} rps "
-            f"(single {row['single_warm_rps']:.0f} rps, "
-            f"{row['speedup_vs_single_warm']:.2f}x), "
-            f"p99 {row['p99_ms']:.2f}ms, max shard p99 "
-            f"{row['max_shard_p99_ms']:.2f}ms, "
-            f"identical={row['responses_identical']}; chaos: "
-            f"killed shard {chaos['killed_shard']}, "
-            f"failed {chaos['failed']}/{chaos['requests']}, "
-            f"respawned={chaos['respawned']}, "
-            f"post identical={chaos['post_recovery_identical']}"
+            f"identical={row['responses_identical']}"
         )
     print(f"written: {args.output}")
 
@@ -1146,13 +846,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         and all(r["rows_identical"] for r in doc["dag"])
         and all(r["responses_identical"] for r in doc["zipf"])
-        and all(
-            r["responses_identical"]
-            and r["chaos"]["failed"] == 0
-            and r["chaos"]["respawned"]
-            and r["chaos"]["post_recovery_identical"]
-            for r in doc["cluster"]
-        )
     )
     return 0 if ok else 1
 

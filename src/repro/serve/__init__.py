@@ -16,22 +16,16 @@ in front of them:
   artifacts keyed by :func:`repro.core.cache.stable_digest`, LRU-bounded,
   layered under the in-memory solve cache so a restarted server serves
   its old working set with zero new solves.
-* :class:`~repro.serve.prefetch.Prefetcher` — predictive store warming:
-  each store miss enqueues low-priority neighbor solves (adjacent
-  ``n_max``, the observed sweep direction, unroll-factor ladders, shape
-  ladders) that run through the task scheduler while the foreground
-  intake is idle.
 * :class:`~repro.serve.client.ServeClient` — blocking client speaking the
   same protocol, with optional bounded-jittered retries on 429/503 and
   transport errors; ``repro-serve`` (:mod:`repro.serve.cli`) runs the
   server.
 
-Scale-out lives one package over: :mod:`repro.cluster` shards this server
-N ways behind a digest-routing front with a tiered (memory → local store
-→ peer shard) lookup path.
+One process serves every request, with one lookup path: the in-memory
+solve cache, then the local store, then a solve.
 
 Protocol, batching, and store semantics are documented in
-``docs/SERVING.md``; the cluster in ``docs/CLUSTER.md``.
+``docs/SERVING.md``.
 """
 
 from .client import (
@@ -42,7 +36,6 @@ from .client import (
     ServerBusyError,
 )
 from .coalesce import Coalescer, QueueFullError
-from .prefetch import Prefetcher
 from .protocol import (
     TRACE_HEADER,
     BadRequestError,
@@ -60,7 +53,6 @@ __all__ = [
     "DeadlineExceededError",
     "InfeasibleRequestError",
     "PartitionServer",
-    "Prefetcher",
     "QueueFullError",
     "ServeClient",
     "ServeError",

@@ -18,13 +18,10 @@ concurrency lives.
 
 Retries are **off by default**: construct with ``retries=N`` to make the
 client absorb transient failures — 429 backpressure (honoring the
-server's ``retry_after_s`` hint), 503 answers (a restarting worker, a
-cluster front with no live shard), and transport errors (connection
-refused during a worker respawn) — with jittered exponential backoff
-(``backoff_s`` seeding the schedule).  Structural errors (400/404/422/
-500/504) never retry.  This is the same client the cluster's peer-fetch
-and backfill tiers use (:mod:`repro.cluster.peers`), via the ``peer_*``
-methods at the bottom.
+server's ``retry_after_s`` hint), 503 answers (a server shutting down
+or restarting), and transport errors (connection refused during a
+restart) — with jittered exponential backoff (``backoff_s`` seeding the
+schedule).  Structural errors (400/404/413/422/500/504) never retry.
 
 Example
 -------
@@ -42,7 +39,7 @@ import json
 import random
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.partition import PartitionSolution
 from ..core.pattern import Pattern
@@ -52,7 +49,6 @@ from .protocol import (
     ERROR_DEADLINE,
     ERROR_INFEASIBLE,
     ERROR_QUEUE_FULL,
-    TRACE_HEADER,
 )
 
 
@@ -111,7 +107,7 @@ def _pattern_fields(
 
 
 #: Errors the retry loop treats as transient: backpressure, a server that
-#: is restarting or has no live shard behind it, and transport failures.
+#: is shutting down or restarting, and transport failures.
 _RETRYABLE_HTTP = (429, 503)
 
 
@@ -174,12 +170,9 @@ class ServeClient:
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, bytes, str]:
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         send_headers = {"Content-Type": "application/json"} if payload else {}
-        if headers:
-            send_headers.update(headers)
         conn = self._connection()
         try:
             conn.request(method, path, body=payload, headers=send_headers)
@@ -216,7 +209,7 @@ class ServeClient:
             except (http.client.HTTPException, socket.error):
                 # _request already burned its one clean-reconnect attempt;
                 # reaching here means the server end is really down (e.g. a
-                # worker mid-respawn), so wait before trying again.
+                # server mid-restart), so wait before trying again.
                 if attempt >= self.retries:
                     raise
                 self.close()
@@ -228,9 +221,8 @@ class ServeClient:
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
-        status, data, _ = self._request(method, path, body, headers)
+        status, data, _ = self._request(method, path, body)
         try:
             doc = json.loads(data.decode("utf-8")) if data else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -250,11 +242,8 @@ class ServeClient:
         method: str,
         path: str,
         body: Optional[Dict[str, Any]] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
-        return self._with_retries(
-            lambda: self._json_once(method, path, body, headers)
-        )
+        return self._with_retries(lambda: self._json_once(method, path, body))
 
     # -- endpoints ---------------------------------------------------------
 
@@ -362,60 +351,3 @@ class ServeClient:
     def debug_store(self) -> Dict[str, Any]:
         """GET /debug/store — solution-store occupancy and hit-rate."""
         return self._json("GET", "/debug/store")
-
-    # -- peer protocol (workers running with the peer API enabled) ---------
-
-    def peer_solution(
-        self, digest: str, trace_id: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
-        """GET /peer/solution/<digest> — the raw store artifact, or None.
-
-        Returns the artifact document exactly as the peer's store holds it
-        (so writing it locally reproduces the same bytes); a 404 — the
-        peer does not have the key — is a normal answer, not an error.
-        """
-        headers = {TRACE_HEADER: trace_id} if trace_id else None
-
-        def _call() -> Optional[Dict[str, Any]]:
-            status, data, _ = self._request(
-                "GET", f"/peer/solution/{digest}", headers=headers
-            )
-            if status == 404:
-                return None
-            doc = json.loads(data.decode("utf-8")) if data else {}
-            if status != 200:
-                error = doc.get("error", {}) if isinstance(doc, dict) else {}
-                _raise_for(
-                    error.get("code", "internal"),
-                    error.get("message", f"HTTP {status}"),
-                    status,
-                    error,
-                )
-            return doc
-
-        return self._with_retries(_call)
-
-    def peer_put(
-        self,
-        digest: str,
-        document: Dict[str, Any],
-        trace_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """PUT /peer/solution/<digest> — replicate an artifact to a peer."""
-        headers = {TRACE_HEADER: trace_id} if trace_id else None
-        return self._json(
-            "PUT", f"/peer/solution/{digest}", document, headers=headers
-        )
-
-    def peer_digests(self) -> List[str]:
-        """GET /peer/digests — every digest the peer's store holds."""
-        return list(self._json("GET", "/peer/digests").get("digests", []))
-
-    def peer_registry(self) -> Dict[str, Any]:
-        """GET /peer/registry — the worker's metrics registry as a dump.
-
-        The document is what :meth:`repro.obs.metrics.MetricsRegistry.dump`
-        produces; the cluster front merges one per shard into its
-        aggregated ``/metrics`` view.
-        """
-        return self._json("GET", "/peer/registry")

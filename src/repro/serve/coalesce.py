@@ -42,7 +42,7 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from ..core import cache as solve_cache
 from ..core.solver import solve
@@ -135,28 +135,18 @@ def _execute_batch(
     store: Optional[SolutionStore],
     jobs: int,
     solve_delay_s: float,
-    on_miss: Optional[Callable[[SolveSpec], None]] = None,
-    peer_fetch: Optional[
-        Callable[[str, SolveSpec, Optional[str]], Optional[Any]]
-    ] = None,
-    on_stored: Optional[Callable[[str, SolveSpec], None]] = None,
 ) -> Dict[str, Outcome]:
     """Resolve one micro-batch of distinct jobs (runs on an executor thread).
 
-    Store hits short-circuit; in a cluster, local misses then try the
-    ``peer_fetch`` tier — a warm sibling shard returns the stored artifact
-    over HTTP, which lands in the local store byte-identically (content-
-    addressed replication-on-read) before solving is even considered.
-    The remainder solves through the scheduler's
+    Store hits short-circuit; the remainder solves through the scheduler's
     :func:`~repro.sched.map_tasks` tier, keyed by canonical digest (the
     coalescer already deduplicates upstream, so the keys are belt-and-
     braces against a caller that batches duplicates directly).  Fresh
-    solutions are persisted to the store, announced to ``on_stored`` (the
-    cluster's replicator, so a successor shard gets a copy), and seeded
-    into the in-memory solve cache so later requests hit without touching
-    disk.  Each item carries its leader's trace id, so store lookups,
-    peer fetches, and solves span into the right request tree even though
-    the batch serves many requests at once.
+    solutions are persisted to the store and seeded into the in-memory
+    solve cache so later requests hit without touching disk.  Each item
+    carries its leader's trace id, so store lookups and solves span into
+    the right request tree even though the batch serves many requests at
+    once.
     """
     if solve_delay_s > 0:
         time.sleep(solve_delay_s)
@@ -168,12 +158,6 @@ def _execute_batch(
             if store is not None
             else None
         )
-        if stored is None and peer_fetch is not None:
-            try:
-                stored = peer_fetch(digest, spec, trace_id)
-            except Exception:  # noqa: BLE001 - peers must never fail a batch
-                obs_registry().counter("cluster.peer.tier_errors").inc()
-                stored = None
         if stored is not None:
             if solve_cache.enabled():
                 solve_cache.cache().put(spec.canonical_cache_key(), stored)
@@ -200,21 +184,11 @@ def _execute_batch(
                     solution,
                     meta={"pattern": spec.pattern.name, "m": spec.pattern.size},
                 )
-                if on_stored is not None:
-                    try:
-                        on_stored(digest, spec)
-                    except Exception:  # noqa: BLE001 - replication is best-effort
-                        obs_registry().counter("cluster.replicate.hook_errors").inc()
             # In the process-pool tier the solve happened in a worker whose
             # cache is invisible here; seed the server's own cache so the
             # next identical request is an in-memory hit.
             if jobs > 1 and solve_cache.enabled():
                 solve_cache.cache().put(spec.canonical_cache_key(), solution)
-            if on_miss is not None:
-                try:
-                    on_miss(spec)
-                except Exception:  # noqa: BLE001 - prefetch must never fail a batch
-                    obs_registry().counter("prefetch.observe_errors").inc()
     return outcomes
 
 
@@ -251,11 +225,6 @@ class Coalescer:
         max_pending: int = 256,
         retry_after_s: float = 1.0,
         solve_delay_s: float = 0.0,
-        on_miss: Optional[Callable[[SolveSpec], None]] = None,
-        peer_fetch: Optional[
-            Callable[[str, SolveSpec, Optional[str]], Optional[Any]]
-        ] = None,
-        on_stored: Optional[Callable[[str, SolveSpec], None]] = None,
     ) -> None:
         if batch_max < 1:
             raise ValueError(f"batch_max must be positive, got {batch_max}")
@@ -267,16 +236,6 @@ class Coalescer:
         self.max_pending = max_pending
         self.retry_after_s = retry_after_s
         self.solve_delay_s = solve_delay_s
-        #: Called (on the executor thread) with each spec that required a
-        #: fresh solve — the predictive prefetcher's observation hook.
-        self.on_miss = on_miss
-        #: Cluster tier: called (digest, spec, trace_id) after a local
-        #: store miss, before solving; returns the canonical solution if a
-        #: sibling shard had the key warm, else None.
-        self.peer_fetch = peer_fetch
-        #: Cluster tier: called (digest, spec) after a fresh solve landed
-        #: in the local store — the replicator's enqueue hook.
-        self.on_stored = on_stored
         self._queued: "OrderedDict[str, _Job]" = OrderedDict()
         self._inflight: Dict[str, _Flight] = {}
         self._wake = asyncio.Event()
@@ -377,9 +336,6 @@ class Coalescer:
                         self.store,
                         self.jobs,
                         self.solve_delay_s,
-                        self.on_miss,
-                        self.peer_fetch,
-                        self.on_stored,
                     )
                 except Exception as exc:  # noqa: BLE001 - keep the loop alive
                     outcomes = {

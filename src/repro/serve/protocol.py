@@ -52,24 +52,24 @@ ERROR_INFEASIBLE = "infeasible"
 ERROR_DEADLINE = "deadline_exceeded"
 ERROR_QUEUE_FULL = "queue_full"
 ERROR_SHUTTING_DOWN = "shutting_down"
-ERROR_NO_LIVE_SHARD = "no_live_shard"
+ERROR_TOO_LARGE = "payload_too_large"
 ERROR_INTERNAL = "internal"
 
 #: error code → HTTP status the server answers with.
 HTTP_STATUS: Dict[str, int] = {
     ERROR_BAD_REQUEST: 400,
     ERROR_NOT_FOUND: 404,
+    ERROR_TOO_LARGE: 413,
     ERROR_INFEASIBLE: 422,
     ERROR_QUEUE_FULL: 429,
     ERROR_INTERNAL: 500,
     ERROR_SHUTTING_DOWN: 503,
-    ERROR_NO_LIVE_SHARD: 503,
     ERROR_DEADLINE: 504,
 }
 
-#: Request header carrying the originating trace id across process hops
-#: (client → cluster front → worker shard → peer shard), so the spans of
-#: one logical request reassemble into one tree no matter where they ran.
+#: Request header carrying a caller's trace id: a server that receives it
+#: records the request's spans under that id instead of a fresh one, so a
+#: caller can stitch the server's tree into its own.
 TRACE_HEADER = "X-Repro-Trace"
 
 #: Simulation engines a request may name (mirrors ``sim.memsim.ENGINES``).
@@ -134,10 +134,11 @@ def _parse_shape(doc: Dict[str, Any], ndim: int) -> Optional[Tuple[int, ...]]:
     raw = doc.get("shape")
     if raw is None:
         return None
-    try:
-        shape = tuple(int(w) for w in raw)
-    except (TypeError, ValueError) as exc:
-        raise BadRequestError(f"shape must be a list of integers, got {raw!r}") from exc
+    if not isinstance(raw, (list, tuple)) or any(
+        isinstance(w, bool) or not isinstance(w, int) for w in raw
+    ):
+        raise BadRequestError(f"shape must be a list of integers, got {raw!r}")
+    shape = tuple(raw)
     if len(shape) != ndim:
         raise BadRequestError(
             f"shape {shape} does not match pattern dimensionality {ndim}"

@@ -76,6 +76,7 @@ from .protocol import (
     ERROR_INTERNAL,
     ERROR_NOT_FOUND,
     ERROR_QUEUE_FULL,
+    ERROR_TOO_LARGE,
     HTTP_STATUS,
     TRACE_HEADER,
     BadRequestError,
@@ -87,11 +88,14 @@ from .protocol import (
     parse_timeout_s,
     solution_payload,
 )
-from .prefetch import Prefetcher
 from .store import SolutionStore
 
 #: Largest accepted request body; patterns are small, this is generous.
 MAX_BODY_BYTES = 1 << 20
+
+#: How long a connection answered with a request-head error keeps
+#: draining client input before it closes (see :func:`_discard_input`).
+_LINGER_S = 1.0
 
 #: Canonical groups tracked for /debug/store (LRU beyond this).
 _CANON_GROUPS_MAX = 1024
@@ -130,61 +134,86 @@ class _HttpReply(Exception):
         self.headers = headers or {}
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line outgrew the stream's buffer limit
+        raise _HttpReply(
+            400, error_payload(ERROR_BAD_REQUEST, "request line or header too long")
+        )
+
+
 async def read_http_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one HTTP/1.1 request off a stream; None at end of connection.
 
-    Shared by the worker server and the cluster front
-    (:mod:`repro.cluster.router`) — one wire parser, one set of limits.
-    Header names are lowercased.
+    Header names are lowercased.  A head the server will not accept raises
+    :class:`_HttpReply`, which the connection handler answers before it
+    closes: 400 for a malformed request line or ``Content-Length``, 413
+    for a body over :data:`MAX_BODY_BYTES`.
     """
-    line = await reader.readline()
+    line = await _read_line(reader)
     if not line or line in (b"\r\n", b"\n"):
         return None
     try:
         method, target, _version = line.decode("ascii").split()
     except ValueError:
-        raise asyncio.IncompleteReadError(line, None)
+        raise _HttpReply(400, error_payload(ERROR_BAD_REQUEST, "malformed request line"))
     headers: Dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader)
         if raw in (b"\r\n", b"\n", b""):
             break
         key, _, value = raw.decode("latin-1").partition(":")
         headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpReply(
+            400,
+            error_payload(ERROR_BAD_REQUEST, f"bad Content-Length {raw_length[:32]!r}"),
+        )
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
-        raise asyncio.LimitOverrunError("body too large", length)
+        raise _HttpReply(
+            413,
+            error_payload(
+                ERROR_TOO_LARGE, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            ),
+        )
     body = await reader.readexactly(length) if length else b""
     return method.upper(), target, headers, body
+
+
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    """Drop what the client still sends, for up to :data:`_LINGER_S`.
+
+    Closing a socket with unread input makes the kernel send a reset,
+    which can destroy an error answer the client has not read yet.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _LINGER_S
+    try:
+        while await asyncio.wait_for(reader.read(1 << 16), deadline - loop.time()):
+            pass
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 def write_http_response(
     writer: asyncio.StreamWriter,
     status: int,
-    payload: Union[Dict[str, Any], str, bytes],
+    payload: Union[Dict[str, Any], str],
     extra_headers: Dict[str, str],
     keep_alive: bool,
-    content_type: Optional[str] = None,
-    counter_prefix: str = "serve",
 ) -> None:
-    """Serialize and queue one response; shared with the cluster front.
-
-    ``bytes`` payloads pass through verbatim (the router relays worker
-    response bodies without re-encoding them — byte-identity across
-    routing paths is a cluster invariant, so the front never re-serializes
-    a worker's JSON).
-    """
-    if isinstance(payload, bytes):
-        body = payload
-        content_type = content_type or "application/json"
-    elif isinstance(payload, str):
+    """Serialize and queue one response; counted in ``serve.http.<status>``."""
+    if isinstance(payload, str):
         body = payload.encode("utf-8")
-        content_type = content_type or "text/plain; version=0.0.4; charset=utf-8"
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        content_type = content_type or "application/json"
+        content_type = "application/json"
     head = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
@@ -193,7 +222,7 @@ def write_http_response(
     ]
     head.extend(f"{k}: {v}" for k, v in extra_headers.items())
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body)
-    obs_registry().counter(f"{counter_prefix}.http.{status}").inc()
+    obs_registry().counter(f"serve.http.{status}").inc()
 
 
 @dataclasses.dataclass
@@ -226,12 +255,6 @@ class PartitionServer:
         solve_delay_s: float = 0.0,
         debug: bool = False,
         trace_buffer_size: int = DEFAULT_TRACE_BUFFER,
-        prefetch: bool = False,
-        prefetch_cap: int = 64,
-        shard_id: Optional[int] = None,
-        cluster_map: Optional[str] = None,
-        peer_api: Optional[bool] = None,
-        replicate: bool = True,
     ) -> None:
         self.host = host
         self.port = port  # rebound to the real port after start()
@@ -240,22 +263,6 @@ class PartitionServer:
             if store_dir
             else None
         )
-        #: Cluster membership: this worker's shard id and the supervisor-
-        #: maintained map file naming every sibling.  The internal /peer/*
-        #: API defaults on exactly when the server is part of a cluster.
-        self.shard_id = shard_id
-        self.cluster_map = cluster_map
-        self.peer_api = (
-            peer_api
-            if peer_api is not None
-            else (shard_id is not None or cluster_map is not None)
-        )
-        self._replicate = replicate
-        self.peer_fetcher: Optional[Any] = None
-        self.replicator: Optional[Any] = None
-        self._prefetch_requested = prefetch
-        self._prefetch_cap = prefetch_cap
-        self.prefetcher: Optional[Prefetcher] = None
         # canonical digest -> distinct caller (translation-level) digests
         # seen for it; sizes > 1 mean the symmetry quotient is collapsing
         # reflected/permuted variants onto one solve.
@@ -279,35 +286,8 @@ class PartitionServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the batch pipeline (and prefetcher)."""
-        if self._prefetch_requested and self.store is not None:
-            # Late-bound: the coalescer is created just below; "idle" means
-            # no foreground jobs queued or in flight.
-            self.prefetcher = Prefetcher(
-                self.store,
-                idle=lambda: self.coalescer is None or self.coalescer.pending == 0,
-                cap=self._prefetch_cap,
-            )
-        if self.cluster_map is not None and self.shard_id is not None:
-            # The cluster tiers: read-through to warm peers, write-side
-            # replication to ring successors.  Imported lazily — the serve
-            # package must not depend on repro.cluster outside cluster mode.
-            from ..cluster.peers import PeerFetcher, PeerReplicator
-
-            self.peer_fetcher = PeerFetcher(
-                self.cluster_map, self.shard_id, store=self.store
-            )
-            if self._replicate and self.store is not None:
-                self.replicator = PeerReplicator(
-                    self.cluster_map, self.shard_id, store=self.store
-                )
-        self.coalescer = Coalescer(
-            store=self.store,
-            on_miss=self.prefetcher.observe if self.prefetcher else None,
-            peer_fetch=self.peer_fetcher,
-            on_stored=self.replicator.offer if self.replicator else None,
-            **self._coalescer_config,
-        )
+        """Bind the socket and start the batch pipeline."""
+        self.coalescer = Coalescer(store=self.store, **self._coalescer_config)
         self._batch_task = asyncio.get_running_loop().create_task(
             self.coalescer.run()
         )
@@ -340,15 +320,6 @@ class PartitionServer:
             self._batch_task = None
         if self.coalescer is not None:
             self.coalescer.close()
-        if self.prefetcher is not None:
-            self.prefetcher.close()
-            self.prefetcher = None
-        if self.replicator is not None:
-            self.replicator.close()
-            self.replicator = None
-        if self.peer_fetcher is not None:
-            self.peer_fetcher.close()
-            self.peer_fetcher = None
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI wires signals to cancellation)."""
@@ -366,7 +337,17 @@ class PartitionServer:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpReply as reply:
+                    self._write_response(
+                        writer, reply.status, reply.payload, reply.headers, False
+                    )
+                    await writer.drain()
+                    if writer.can_write_eof():
+                        writer.write_eof()
+                    await _discard_input(reader)
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -378,11 +359,7 @@ class PartitionServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionResetError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionResetError):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
             pass  # server stopping while this connection idled
@@ -424,9 +401,9 @@ class PartitionServer:
         started = time.monotonic()
         started_perf = time.perf_counter()
         path = target.split("?", 1)[0]
-        # A front-end router (or a peer worker) hands its trace id down in
-        # the X-Repro-Trace header; adopting it stitches the worker's spans
-        # into the originating request's tree instead of starting a new one.
+        # A caller may hand its trace id down in the X-Repro-Trace header;
+        # adopting it stitches this request's spans into the caller's tree
+        # instead of starting a new one.
         incoming_trace = (headers or {}).get(TRACE_HEADER.lower()) or None
         ctx = _RequestContext(
             trace_id=(
@@ -501,8 +478,6 @@ class PartitionServer:
     def _resolve_handler(
         self, method: str, path: str
     ) -> Callable[[Any, "_RequestContext"], Awaitable[Union[Dict[str, Any], str]]]:
-        if path.startswith("/peer/"):
-            return self._resolve_peer_handler(method, path)
         routes: Dict[Tuple[str, str], Callable[[Any, Any], Awaitable[Any]]] = {
             ("POST", "/solve"): self._handle_solve,
             ("POST", "/simulate"): self._handle_simulate,
@@ -522,38 +497,6 @@ class PartitionServer:
                 )
             raise _HttpReply(404, error_payload(ERROR_NOT_FOUND, f"no route {path}"))
         return handler
-
-    def _resolve_peer_handler(
-        self, method: str, path: str
-    ) -> Callable[[Any, "_RequestContext"], Awaitable[Union[Dict[str, Any], str]]]:
-        """Route the internal /peer/* API (enabled only in cluster mode)."""
-        if not self.peer_api:
-            raise _HttpReply(
-                404,
-                error_payload(
-                    ERROR_NOT_FOUND,
-                    "peer API is disabled (workers enable it in cluster mode)",
-                ),
-            )
-        if path.startswith("/peer/solution/"):
-            digest = path[len("/peer/solution/"):]
-            if not digest or "/" in digest:
-                raise _HttpReply(
-                    404, error_payload(ERROR_NOT_FOUND, f"bad peer path {path}")
-                )
-            if method == "GET":
-                return lambda doc, ctx: self._handle_peer_get(digest, doc, ctx)
-            if method == "PUT":
-                return lambda doc, ctx: self._handle_peer_put(digest, doc, ctx)
-            raise _HttpReply(
-                405,
-                error_payload(ERROR_BAD_REQUEST, f"{method} not allowed on {path}"),
-            )
-        if (method, path) == ("GET", "/peer/digests"):
-            return self._handle_peer_digests
-        if (method, path) == ("GET", "/peer/registry"):
-            return self._handle_peer_registry
-        raise _HttpReply(404, error_payload(ERROR_NOT_FOUND, f"no route {path}"))
 
     @staticmethod
     def _parse_body(body: bytes) -> Any:
@@ -763,11 +706,6 @@ class PartitionServer:
             "max_pending": self.coalescer.max_pending,
             "debug": self.debug,
             "store": self.store.stats() if self.store is not None else None,
-            "prefetch": (
-                self.prefetcher.stats() if self.prefetcher is not None else None
-            ),
-            "shard": self.shard_id,
-            "peer_api": self.peer_api,
         }
 
     async def _handle_metrics(self, _doc: Any, _ctx: _RequestContext) -> str:
@@ -791,21 +729,6 @@ class PartitionServer:
         registry.gauge("serve.solve_cache.evictions").set(mem.evictions)
         registry.gauge("serve.solve_cache.entries").set(len(mem))
         registry.gauge("serve.solve_cache.maxsize").set(mem.maxsize)
-        # Materialize the prefetch counter family even when it is all-zero
-        # so dashboards see the metrics exist as soon as prefetch is on.
-        if self.prefetcher is not None:
-            for name in (
-                "enqueued",
-                "dropped",
-                "skipped",
-                "solved",
-                "stored",
-                "errors",
-            ):
-                registry.counter(f"prefetch.{name}").inc(0)
-            registry.gauge("prefetch.queued").set(
-                self.prefetcher.stats()["queued"]
-            )
         return to_prometheus_text()
 
     # -- debug surface (off unless debug=True) -----------------------------
@@ -840,9 +763,6 @@ class PartitionServer:
         }
         return {
             "store": self.store.stats() if self.store is not None else None,
-            "prefetch": (
-                self.prefetcher.stats() if self.prefetcher is not None else None
-            ),
             # How many distinct caller-frame request identities each
             # canonical solve is serving: >1 means symmetry collapse.
             "canonical_groups": {
@@ -852,70 +772,6 @@ class PartitionServer:
                 "sizes": {d[:12]: v for d, v in sizes.items()},
             },
         }
-
-    # -- the peer API (cluster-internal; peer_api=True only) ---------------
-
-    def _require_store(self) -> SolutionStore:
-        if self.store is None:
-            raise _HttpReply(
-                404,
-                error_payload(ERROR_NOT_FOUND, "this worker has no solution store"),
-            )
-        return self.store
-
-    async def _handle_peer_get(
-        self, digest: str, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Serve a store artifact to a sibling shard, verbatim.
-
-        The response body is the artifact document itself, so the caller
-        can persist it byte-identically — content-addressed replication
-        needs no separate wire format.
-        """
-        document = self._require_store().get_document(digest)
-        if document is None:
-            raise _HttpReply(
-                404,
-                error_payload(ERROR_NOT_FOUND, f"no artifact for {digest[:12]}"),
-            )
-        obs_registry().counter("cluster.peer.served").inc()
-        return document
-
-    async def _handle_peer_put(
-        self, digest: str, doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Accept a replicated artifact from a sibling shard."""
-        store = self._require_store()
-        if not isinstance(doc, dict):
-            raise BadRequestError("replication body must be an artifact document")
-        try:
-            store.put_document(digest, doc)
-        except Exception as exc:  # noqa: BLE001 - malformed peer payloads are 400s
-            raise BadRequestError(f"invalid artifact for {digest[:12]}: {exc}")
-        obs_registry().counter("cluster.peer.received").inc()
-        return {"stored": digest, "entries": len(store)}
-
-    async def _handle_peer_digests(
-        self, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """Every digest this shard holds — the backfill scan surface."""
-        store = self._require_store()
-        return {"shard": self.shard_id, "digests": store.digests()}
-
-    async def _handle_peer_registry(
-        self, _doc: Any, _ctx: _RequestContext
-    ) -> Dict[str, Any]:
-        """This worker's metrics registry as a mergeable dump.
-
-        The cluster front pulls one of these per shard and merges them
-        (namespaced ``worker.<shard>.*``) into its aggregated ``/metrics``.
-        Store gauges are refreshed first so occupancy is current even if
-        ``/metrics`` was never polled on this worker.
-        """
-        if self.store is not None:
-            self.store._publish_gauges()
-        worker_id = None if self.shard_id is None else str(self.shard_id)
-        return obs_registry().dump(worker_id=worker_id)
 
 
 class ThreadedServer:

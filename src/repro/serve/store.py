@@ -88,9 +88,8 @@ class SolutionStore:
 
     def _publish_gauges(self) -> None:
         """Mirror occupancy into gauges on every mutation, not just when
-        ``/metrics`` polls: a cluster front pulls worker registries as
-        dumps, and only mutation-time gauges make per-shard entry/byte
-        counts (the rebalancing signal) visible through that path."""
+        ``/metrics`` polls, so a registry dump (``--emit-metrics``, a
+        benchmark reading the registry) carries current entry/byte counts."""
         with self._lock:
             entries = len(self._index)
             size = sum(self._sizes.values())
@@ -102,11 +101,6 @@ class SolutionStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._index)
-
-    def digests(self) -> List[str]:
-        """Stored digests, least-recently-used first."""
-        with self._lock:
-            return list(self._index)
 
     # -- lookup ------------------------------------------------------------
 
@@ -152,51 +146,6 @@ class SolutionStore:
             obs_registry().log_histogram("serve.store.get_ms").observe(
                 (time.perf_counter() - started) * 1000.0
             )
-
-    def get_document(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The raw artifact document under ``digest``, or ``None``.
-
-        The peer-fetch tier's read path: it hands back exactly what the
-        file holds (validated — a corrupt artifact is discarded and reads
-        as absent) without touching the hit/miss tallies, so serving a
-        peer does not skew this shard's own hit-rate.  The LRU position
-        *does* advance: a key a peer wants is a key the cluster is using.
-        """
-        with self._lock:
-            path = self._index.get(digest)
-        if path is None:
-            return None
-        try:
-            payload = json.loads(path.read_text())
-            self._validate(digest, payload)
-        except (OSError, ValueError, SerializationError):
-            self._discard(digest, path)
-            return None
-        with self._lock:
-            if digest in self._index:
-                self._index.move_to_end(digest)
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - mtime refresh is best-effort
-            pass
-        obs_registry().counter("serve.store.doc_reads").inc()
-        return payload
-
-    def put_document(self, digest: str, document: Dict[str, Any]) -> Path:
-        """Store an artifact document fetched from a peer, byte-identically.
-
-        Validates first (a malicious or torn peer answer must not poison
-        the store), then routes through :meth:`put` — both ends serialize
-        with ``json.dumps(..., indent=2, sort_keys=True)``, so the bytes
-        this writes equal the bytes the peer holds; content-addressing
-        keeps re-replication and backfill idempotent.
-        """
-        solution = self._validate(digest, document)
-        meta = document.get("meta")
-        if not isinstance(meta, dict):
-            meta = {}
-        obs_registry().counter("serve.store.doc_writes").inc()
-        return self.put(digest, solution, meta=meta)
 
     def _validate(self, digest: str, payload: Any) -> PartitionSolution:
         if not isinstance(payload, dict) or payload.get("format") != _FORMAT:

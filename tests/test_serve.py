@@ -8,8 +8,11 @@ production traffic would, never through private shortcuts.
 
 from __future__ import annotations
 
+import asyncio
 import importlib
 import json
+import logging
+import socket
 import threading
 import time
 
@@ -100,6 +103,13 @@ class TestProtocol:
             {"benchmark": "log", "n_max": 0},
             {"benchmark": "log", "objective": "fastest"},
             {"benchmark": "log", "delta_max": -1},
+            # shape extents follow the integer rule of n_max/delta_max:
+            # json.loads turns 1e400 into inf, and floats or bools are not
+            # silently truncated to an extent.
+            {"benchmark": "log", "shape": [float("inf"), 4]},
+            {"benchmark": "log", "shape": [64.7, 48]},
+            {"benchmark": "log", "shape": [True, 4]},
+            {"benchmark": "log", "shape": "64"},
         ],
     )
     def test_bad_solve_bodies(self, body):
@@ -357,6 +367,87 @@ class TestIntrospection:
         assert after - before == 2
 
 
+def _raw_exchange(port: int, raw: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post(body: bytes, length: object = None, close: bool = False) -> bytes:
+    length = len(body) if length is None else length
+    connection = "Connection: close\r\n" if close else ""
+    return (
+        f"POST /solve HTTP/1.1\r\nContent-Length: {length}\r\n{connection}\r\n"
+    ).encode() + body
+
+
+class TestWireErrors:
+    """Malformed requests get a 4xx answer, never a crash or a silent close.
+
+    A request head the server cannot parse is answered and the connection
+    closed by the server; a bad body is a normal 400, so those cases ask
+    for the close themselves.
+    """
+
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (_post(b"{}", "abc"), 400, "bad_request"),
+            (_post(b"{}", "-5"), 400, "bad_request"),
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+            (b"GET /healthz\r\n\r\n", 400, "bad_request"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 400, "bad_request"),
+            (_post(b"", 2_000_000), 413, "payload_too_large"),
+            # The client keeps sending the oversized body: the answer must
+            # survive the close instead of being lost to a reset.
+            (_post(b"x" * 1_500_000), 413, "payload_too_large"),
+            (
+                _post(b'{"benchmark": "log", "shape": [1e400, 4]}', close=True),
+                400,
+                "bad_request",
+            ),
+            (
+                _post(b'{"benchmark": "log", "shape": [64.7, 48]}', close=True),
+                400,
+                "bad_request",
+            ),
+        ],
+        ids=[
+            "length-abc",
+            "length-negative",
+            "request-line-garbage",
+            "request-line-no-version",
+            "request-line-over-64k",
+            "body-over-limit",
+            "body-over-limit-sent",
+            "shape-1e400",
+            "shape-float",
+        ],
+    )
+    def test_answered_with_4xx(self, server, caplog, raw, status, code):
+        counter = f"serve.http.{status}"
+        before = registry().snapshot()["counters"].get(counter, 0)
+        with caplog.at_level(logging.ERROR):
+            data = _raw_exchange(server.port, raw)
+            # A well-formed request still works afterwards.
+            with ServeClient(port=server.port) as client:
+                assert client.healthz()["status"] == "ok"
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines
+        assert json.loads(body)["error"]["code"] == code
+        assert registry().snapshot()["counters"][counter] == before + 1
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
 class TestServeCli:
     def test_parser_defaults(self):
         from repro.serve.cli import build_parser
@@ -370,3 +461,119 @@ class TestServeCli:
         import repro.serve.cli as cli
 
         assert callable(cli.main_serve)
+
+
+class _ScriptedHTTP:
+    """A socket server answering one canned HTTP response per connection."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.hits = 0
+        self._sock = socket.socket()
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self.hits < len(self.responses):
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    conn.recv(65536)
+                    conn.sendall(self.responses[self.hits])
+                except OSError:
+                    pass
+                self.hits += 1
+
+    def close(self):
+        self._sock.close()
+
+    def settled_hits(self, expect: int, timeout_s: float = 2.0) -> int:
+        """hits, waiting briefly — the serve thread tallies after sendall."""
+        deadline = time.monotonic() + timeout_s
+        while self.hits < expect and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.hits
+
+
+def _http(status: str, body: dict, extra_headers: str = "") -> bytes:
+    payload = json.dumps(body).encode()
+    return (
+        f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n{extra_headers}"
+        "Connection: close\r\n\r\n"
+    ).encode() + payload
+
+
+class TestClientRetries:
+    def test_retries_429_honoring_retry_after(self):
+        busy = _http(
+            "429 Too Many Requests",
+            {"error": {"code": "queue_full", "message": "try later",
+                       "retry_after_s": 0.01}},
+            "Retry-After: 0.01\r\n",
+        )
+        ok = _http("200 OK", {"status": "ok"})
+        server = _ScriptedHTTP([busy, busy, ok])
+        try:
+            with ServeClient(port=server.port, retries=3, backoff_s=0.01) as client:
+                started = time.perf_counter()
+                assert client.healthz() == {"status": "ok"}
+                elapsed = time.perf_counter() - started
+        finally:
+            server.close()
+        assert server.settled_hits(3) == 3
+        assert elapsed < 5.0  # hints kept the backoff tiny
+
+    def test_retries_zero_fails_fast(self):
+        busy = _http(
+            "429 Too Many Requests", {"error": {"code": "queue_full", "message": "no"}}
+        )
+        server = _ScriptedHTTP([busy, busy])
+        try:
+            with ServeClient(port=server.port) as client:  # retries=0 default
+                with pytest.raises(ServerBusyError):
+                    client.healthz()
+        finally:
+            server.close()
+        assert server.settled_hits(1) == 1
+
+    def test_exhausted_retries_surface_the_final_429(self):
+        busy = _http(
+            "429 Too Many Requests", {"error": {"code": "queue_full", "message": "no"}}
+        )
+        server = _ScriptedHTTP([busy] * 3)
+        try:
+            with ServeClient(port=server.port, retries=2, backoff_s=0.005) as client:
+                with pytest.raises(ServerBusyError):
+                    client.healthz()
+        finally:
+            server.close()
+        assert server.settled_hits(3) == 3  # initial try + 2 retries
+
+    def test_non_retryable_errors_never_retry(self):
+        bad = _http(
+            "400 Bad Request",
+            {"error": {"code": "bad_request", "message": "nope"}},
+        )
+        server = _ScriptedHTTP([bad, bad])
+        try:
+            with ServeClient(port=server.port, retries=5, backoff_s=0.005) as client:
+                with pytest.raises(ServeError) as err:
+                    client.healthz()
+        finally:
+            server.close()
+        assert err.value.http_status == 400
+        assert server.settled_hits(1) == 1
+
+    def test_invalid_retry_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            ServeClient(retries=-1)
+        with pytest.raises(ValueError):
+            ServeClient(retries=1, backoff_s=-0.1)
